@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all build test check check-race cover fuzz bench bench-msg exp serve-smoke clean
+.PHONY: all build test check check-race cover fuzz bench bench-msg bench-decode exp serve-smoke clean
 
 all: build
 
@@ -80,6 +80,11 @@ bench:
 # Moser-Tardos resampling throughput), recorded the same way.
 bench-msg:
 	scripts/bench.sh BENCH_$(DATE)_msg.json 'Engine|MessageEngine|MoserTardos|LLL'
+
+# Engine-layer decode benchmarks, one per request class of perfbench's
+# decode-fresh workload (schema decoders called directly), with allocations.
+bench-decode:
+	$(GO) test -run '^$$' -bench 'DecodeFresh' -benchmem .
 
 # Serving-layer smoke: build locad, start `locad serve` on an ephemeral
 # port, drive it with a short loadgen, scrape /v1/stats, and check that

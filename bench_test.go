@@ -538,6 +538,66 @@ func BenchmarkBuildView4096(b *testing.B) {
 	}
 }
 
+// --- decode-fresh layer benchmarks ---
+//
+// One benchmark per request class of perfbench's decode-fresh workload,
+// calling the schema decoders directly: graph and advice are built once, so
+// each op is the engine (ball views, walks, assembly) alone. Run them with
+// `make bench-decode`.
+
+// benchDecode times decode(g, advice) after checking that it solves the
+// problem once.
+func benchDecode(b *testing.B, g *graph.Graph, p lcl.Problem, advice local.Advice,
+	decode func(*graph.Graph, local.Advice) (*lcl.Solution, local.Stats, error)) {
+	sol, _, err := decode(g, advice)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := lcl.Verify(p, g, sol); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := decode(g, advice); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchDetDecode runs a deterministic-LLL schema's ball decoder on a cycle.
+func benchDetDecode(b *testing.B, schema string, n int) {
+	ds, ok := harness.DetSchemaByName(schema)
+	if !ok {
+		b.Fatalf("unknown det schema %s", schema)
+	}
+	g := graph.Cycle(n)
+	advice, err := ds.EncodeWith(harness.MethodDet, g, 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDecode(b, g, ds.Problem(g), advice, func(g *graph.Graph, advice local.Advice) (*lcl.Solution, local.Stats, error) {
+		return ds.DecodeOn("ball", g, advice, local.RunConfig{DetLLL: true})
+	})
+}
+
+func BenchmarkDecodeFreshOrientGrid225(b *testing.B) {
+	fs, ok := harness.FaultSchemaByName("orient")
+	if !ok {
+		b.Fatal("no orient schema")
+	}
+	g := graph.Grid2D(15, 15)
+	advice, err := fs.Encode(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchDecode(b, g, fs.Problem(g), advice, fs.Decode)
+}
+
+func BenchmarkDecodeFreshOrientDetCycle384(b *testing.B) { benchDetDecode(b, "orient", 384) }
+
+func BenchmarkDecodeFreshColor3DetCycle1792(b *testing.B) { benchDetDecode(b, "color3", 1792) }
+
 func BenchmarkE1LCLGrowth4096(b *testing.B) {
 	g := graph.Cycle(4096)
 	s := growth.Schema{

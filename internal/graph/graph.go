@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -27,6 +28,11 @@ type Graph struct {
 	adj   [][]int // adjacency lists of neighbor node indices
 	inc   [][]int // incident edge indices, aligned with adj
 	edges []Edge
+
+	// store is the one backing array Rebuild lays its per-node cursors and
+	// the adjacency and incident-edge lists out in, kept for the next
+	// Rebuild to reuse; nil for graphs grown by AddEdge.
+	store []int
 
 	// byIDs caches the id -> node index map, built on first NodeByID; the
 	// view engine constructs thousands of short-lived subgraphs whose IDs
@@ -87,55 +93,83 @@ func (g *Graph) AddEdge(u, v int) (int, error) {
 }
 
 // NewFromEdges assembles a graph in one pass from node IDs and a complete
-// edge list, preallocating the adjacency storage exactly (two backing arrays
-// shared by all nodes). It is the bulk constructor of the view engine's hot
-// path. The ids slice is copied; the edges slice is taken over by the graph
-// and must not be modified afterwards. Edges must satisfy U < V with both
-// endpoints in range, and the edge list must describe a simple graph (no
-// duplicates); endpoint violations panic, duplicates are the caller's
-// responsibility (Validate detects them). IDs must be positive; duplicate
-// IDs are detected lazily, on the first NodeByID lookup.
+// edge list, preallocating the adjacency storage exactly. The ids slice is
+// copied; the edges slice is taken over by the graph and must not be
+// modified afterwards. Edges must satisfy U < V with both endpoints in
+// range, and the edge list must describe a simple graph (no duplicates);
+// endpoint violations panic, duplicates are the caller's responsibility
+// (Validate detects them). IDs must be positive; duplicate IDs are detected
+// lazily, on the first NodeByID lookup.
 //
 // Adjacency order matches what repeated AddEdge calls in the same edge order
 // would produce, so the two construction paths are interchangeable.
 func NewFromEdges(ids []int64, edges []Edge) *Graph {
+	// Seeding g.edges with the caller's array makes Rebuild's copy of the
+	// edge list a copy onto itself: the graph takes the slice over.
+	g := &Graph{edges: edges[:0]}
+	g.Rebuild(ids, edges)
+	return g
+}
+
+// Rebuild replaces g's contents with the graph on ids and edges, under the
+// same contract as NewFromEdges except that both slices are copied. It
+// reuses g's storage — the ids, the adjacency and incident-edge headers,
+// their shared backing array and the edge list — and allocates only where
+// the new graph outgrows it, so an owner that rebuilds one Graph in a loop
+// (the view engine's per-worker view) reaches a steady state with no
+// allocation. The cached CSR snapshot and ID index are dropped.
+//
+// Rebuild mutates g: it is for a graph its caller owns outright. Slices
+// previously returned by Neighbors, IncidentEdges, Edges or Snapshot are
+// invalid afterwards.
+func (g *Graph) Rebuild(ids []int64, edges []Edge) {
 	n := len(ids)
 	for v, id := range ids {
 		if id <= 0 {
 			panic(fmt.Sprintf("graph: non-positive ID %d for node %d", id, v))
 		}
 	}
-	deg := make([]int, n)
+	// One backing array holds, in order, the per-node cursors (n), the
+	// adjacency lists (2m) and the incident-edge lists (2m).
+	m2 := 2 * len(edges)
+	g.store = slices.Grow(g.store[:0], n+2*m2)[:n+2*m2]
+	cur := g.store[:n]
+	clear(cur)
 	for _, e := range edges {
 		if e.U < 0 || e.V >= n || e.U >= e.V {
 			panic(fmt.Sprintf("graph: bad edge {%d,%d} for %d nodes", e.U, e.V, n))
 		}
-		deg[e.U]++
-		deg[e.V]++
+		cur[e.U]++
+		cur[e.V]++
 	}
-	adjBacking := make([]int, 2*len(edges))
-	incBacking := make([]int, 2*len(edges))
-	adj := make([][]int, n)
-	inc := make([][]int, n)
+	// Degrees become start offsets, then each edge is placed at its
+	// endpoints' cursors in edge order, leaving cur[v] at v's end offset.
 	off := 0
-	for v := 0; v < n; v++ {
-		adj[v] = adjBacking[off : off : off+deg[v]]
-		inc[v] = incBacking[off : off : off+deg[v]]
-		off += deg[v]
+	for v, d := range cur {
+		cur[v] = off
+		off += d
 	}
+	adjBacking := g.store[n : n+m2]
+	incBacking := g.store[n+m2:]
 	for i, e := range edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-		inc[e.U] = append(inc[e.U], i)
-		inc[e.V] = append(inc[e.V], i)
+		adjBacking[cur[e.U]], incBacking[cur[e.U]] = e.V, i
+		cur[e.U]++
+		adjBacking[cur[e.V]], incBacking[cur[e.V]] = e.U, i
+		cur[e.V]++
 	}
-	return &Graph{
-		n:     n,
-		ids:   append([]int64(nil), ids...),
-		adj:   adj,
-		inc:   inc,
-		edges: edges,
+	g.adj = slices.Grow(g.adj[:0], n)[:n]
+	g.inc = slices.Grow(g.inc[:0], n)[:n]
+	start := 0
+	for v, end := range cur {
+		g.adj[v] = adjBacking[start:end:end]
+		g.inc[v] = incBacking[start:end:end]
+		start = end
 	}
+	g.n = n
+	g.ids = append(g.ids[:0], ids...)
+	g.edges = append(g.edges[:0], edges...)
+	g.byIDs.Store(nil)
+	g.snap.Store(nil)
 }
 
 // MustAddEdge is AddEdge that panics on error; for generators and tests.

@@ -277,3 +277,104 @@ func TestDisjointUnionIDsUnique(t *testing.T) {
 		t.Errorf("components = %d, want 3", c)
 	}
 }
+
+// TestRebuildMatchesNewFromEdges rebuilds one Graph through inputs that
+// shrink and grow again and checks that every step is indistinguishable
+// from a freshly constructed graph — including the lazily cached CSR
+// snapshot and ID index, which a stale cache would answer from the
+// previous contents.
+func TestRebuildMatchesNewFromEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	star := Star(6)
+	isolated := New(9) // more nodes than adjacency slots
+	isolated.MustAddEdge(2, 7)
+	steps := []*Graph{
+		Grid2D(8, 9),
+		RandomGNP(40, 0.2, rng),
+		star,
+		isolated,
+		New(0),
+		Cycle(5),
+		Grid2D(10, 10),
+		RandomGNP(60, 0.15, rng),
+	}
+	for i, h := range steps {
+		AssignPermutedIDs(h, rng)
+		// Shift the IDs so consecutive steps share few of them.
+		ids := make([]int64, h.N())
+		for v := range ids {
+			ids[v] = h.ID(v) + int64(1000*i)
+		}
+		steps[i] = NewFromEdges(ids, append([]Edge(nil), h.Edges()...))
+	}
+
+	var g Graph
+	var prev *Graph
+	for i, want := range steps {
+		if prev != nil && prev.N() > 0 {
+			// Populate both caches from the previous contents.
+			g.Snapshot()
+			if g.NodeByID(prev.ID(0)) != 0 {
+				t.Fatalf("step %d: lookup on previous contents failed", i)
+			}
+		}
+		g.Rebuild(want.ids, want.Edges())
+		if err := g.Validate(); err != nil {
+			t.Fatalf("step %d: Validate: %v", i, err)
+		}
+		if g.N() != want.N() || g.M() != want.M() {
+			t.Fatalf("step %d: n=%d m=%d, want n=%d m=%d", i, g.N(), g.M(), want.N(), want.M())
+		}
+		for e, ed := range want.Edges() {
+			if g.Edge(e) != ed {
+				t.Fatalf("step %d: edge %d = %v, want %v", i, e, g.Edge(e), ed)
+			}
+		}
+		for v := 0; v < want.N(); v++ {
+			if g.ID(v) != want.ID(v) {
+				t.Fatalf("step %d: ID(%d) = %d, want %d", i, v, g.ID(v), want.ID(v))
+			}
+			if !equalInts(g.Neighbors(v), want.Neighbors(v)) || !equalInts(g.IncidentEdges(v), want.IncidentEdges(v)) {
+				t.Fatalf("step %d: node %d adjacency %v/%v, want %v/%v", i, v,
+					g.Neighbors(v), g.IncidentEdges(v), want.Neighbors(v), want.IncidentEdges(v))
+			}
+			if got := g.NodeByID(want.ID(v)); got != v {
+				t.Fatalf("step %d: NodeByID(%d) = %d, want %d", i, want.ID(v), got, v)
+			}
+		}
+		if prev != nil && prev.N() > 0 && g.NodeByID(prev.ID(0)) != want.NodeByID(prev.ID(0)) {
+			t.Fatalf("step %d: NodeByID answers from the previous contents", i)
+		}
+		g.Snapshot()
+		if g.MaxDegree() != want.MaxDegree() {
+			t.Fatalf("step %d: MaxDegree after Snapshot = %d, want %d", i, g.MaxDegree(), want.MaxDegree())
+		}
+		if g.Snapshot().N() != want.N() {
+			t.Fatalf("step %d: snapshot has %d nodes, want %d", i, g.Snapshot().N(), want.N())
+		}
+		prev = want
+	}
+
+	// Storage is reused: rebuilding to a graph no larger than one already
+	// held allocates nothing.
+	big, small := steps[len(steps)-1], steps[2]
+	g.Rebuild(big.ids, big.Edges())
+	if allocs := testing.AllocsPerRun(20, func() {
+		g.Rebuild(small.ids, small.Edges())
+		g.Rebuild(big.ids, big.Edges())
+	}); allocs != 0 {
+		t.Errorf("Rebuild within held capacity allocated %.0f times per run, want 0", allocs)
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

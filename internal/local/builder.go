@@ -3,6 +3,7 @@ package local
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -214,34 +215,56 @@ func mustValidateAdvice(g *graph.Graph, advice Advice) {
 }
 
 // ViewBuilder assembles radius-T views using per-builder scratch storage (a
-// bounded-BFS scratch and an edge accumulation buffer), so building views in
-// a loop performs near-zero steady-state allocation beyond the returned View
-// itself. A ViewBuilder is not safe for concurrent use; the parallel engine
-// gives each worker its own.
+// bounded-BFS scratch, ID and edge accumulation buffers) plus one View and
+// one graph.Graph of its own. The engine fills that owned view in place for
+// every node, so a worker's steady state allocates nothing per view;
+// BuildView fills a fresh View instead, which the caller may retain. A
+// ViewBuilder is not safe for concurrent use; the parallel engine gives
+// each worker its own.
 type ViewBuilder struct {
 	bfs   graph.BFSScratch
+	ids   []int64
 	edges []graph.Edge
+	g     graph.Graph
+	view  View
 }
 
 // NewViewBuilder returns an empty builder; its scratch sizes itself lazily
 // to the graphs it sees.
 func NewViewBuilder() *ViewBuilder { return &ViewBuilder{} }
 
-// builderPool backs the package-level BuildView and the sequential RunBall
-// path so that one-off callers also reuse scratch.
+// builderPool backs the package-level BuildView and the ball engine's
+// workers so that one-off callers also reuse scratch.
 var builderPool = sync.Pool{New: func() any { return NewViewBuilder() }}
 
 // BuildView constructs the radius-T view of node v in g under advice. The
 // returned View shares nothing with the builder and may be retained.
 func (b *ViewBuilder) BuildView(g *graph.Graph, advice Advice, v, radius int) *View {
 	mustValidateAdvice(g, advice)
+	view := &View{G: new(graph.Graph)}
+	b.fill(view, g, advice, v, radius)
+	return view
+}
+
+// ownView fills the builder-owned view with the radius-T view of node v.
+// The result is overwritten by the next call: it is valid only until then.
+func (b *ViewBuilder) ownView(g *graph.Graph, advice Advice, v, radius int) *View {
+	b.view.G = &b.g
+	b.fill(&b.view, g, advice, v, radius)
+	return &b.view
+}
+
+// fill writes the radius-T view of node v in g under advice into dst,
+// rebuilding dst.G in place and reusing dst's slices where they are large
+// enough. Advice must already be validated.
+func (b *ViewBuilder) fill(dst *View, g *graph.Graph, advice Advice, v, radius int) {
 	csr := g.Snapshot()
 	ball := g.BFSWithin(v, radius, &b.bfs)
 	k := len(ball)
 
-	ids := make([]int64, k)
+	b.ids = slices.Grow(b.ids[:0], k)[:k]
 	for i, u := range ball {
-		ids[i] = g.ID(int(u))
+		b.ids[i] = g.ID(int(u))
 	}
 	// Collect the visible edges: both endpoints in the ball, at least one
 	// endpoint strictly inside radius (a node learns an edge in T rounds
@@ -262,28 +285,23 @@ func (b *ViewBuilder) BuildView(g *graph.Graph, advice Advice, v, radius int) *V
 			b.edges = append(b.edges, graph.Edge{U: i, V: j})
 		}
 	}
-	edges := make([]graph.Edge, len(b.edges))
-	copy(edges, b.edges)
-	sub := graph.NewFromEdges(ids, edges)
+	dst.G.Rebuild(b.ids, b.edges)
 
-	view := &View{
-		G:          sub,
-		Center:     0, // v is the BFS source, always first in ball order
-		Dist:       make([]int, k),
-		Advice:     make([]bitstr.String, k),
-		TrueDegree: make([]int, k),
-		Radius:     radius,
-		N:          g.N(),
-		Delta:      csr.MaxDegree(),
-	}
+	dst.Center = 0 // v is the BFS source, always first in ball order
+	dst.Dist = slices.Grow(dst.Dist[:0], k)[:k]
+	dst.Advice = slices.Grow(dst.Advice[:0], k)[:k]
+	dst.TrueDegree = slices.Grow(dst.TrueDegree[:0], k)[:k]
+	dst.Radius = radius
+	dst.N = g.N()
+	dst.Delta = csr.MaxDegree()
 	for i, u := range ball {
-		view.Dist[i] = b.bfs.Dist(int(u))
-		view.TrueDegree[i] = csr.Degree(int(u))
+		dst.Dist[i] = b.bfs.Dist(int(u))
+		dst.TrueDegree[i] = csr.Degree(int(u))
+		dst.Advice[i] = bitstr.String{}
 		if int(u) < len(advice) {
-			view.Advice[i] = advice[int(u)]
+			dst.Advice[i] = advice[int(u)]
 		}
 	}
-	return view
 }
 
 // TryRunBallConfig executes a ball algorithm with the given radius on every
@@ -349,7 +367,7 @@ func TryRunBallConfig(g *graph.Graph, advice Advice, radius int, algo BallAlgori
 		if v == crashed {
 			return fault.CrashError{Node: v, Round: cfg.Fault.CrashRound}
 		}
-		return algo(b.BuildView(g, advice, v, radius))
+		return algo(b.ownView(g, advice, v, radius))
 	}
 
 	if workers <= 1 {

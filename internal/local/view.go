@@ -40,6 +40,13 @@ func (v *View) NodeByID(id int64) int { return v.G.NodeByID(id) }
 
 // BallAlgorithm is a LOCAL algorithm in view form: a function of the
 // radius-T view of each node. The returned value is the node's output.
+//
+// The view is valid only for the duration of the call. The ball engine
+// rebuilds one View (graph included) in place per worker for every node,
+// so an algorithm must not retain the view or anything that aliases its
+// storage — its graph, its slices, or slices returned by its graph's
+// accessors — in its output or elsewhere; copy what it needs to keep.
+// Views from BuildView are freshly allocated and may be retained.
 type BallAlgorithm func(view *View) any
 
 // BuildView constructs the radius-T view of node v in g under advice. It is

@@ -16,39 +16,43 @@ package orient
 
 import (
 	"fmt"
-	"sort"
 
 	"localadvice/internal/graph"
 	"localadvice/internal/lcl"
 )
 
-// sortedIncident returns the incident edges of v sorted by the neighbor's
-// ID — the "arbitrary fixed order" of the paper, made canonical so that
-// every node (and every view) computes the same pairing.
-func sortedIncident(g *graph.Graph, v int) []int {
-	inc := append([]int(nil), g.IncidentEdges(v)...)
-	sort.Slice(inc, func(a, b int) bool {
-		return g.ID(g.Other(inc[a], v)) < g.ID(g.Other(inc[b], v))
-	})
-	return inc
-}
-
 // partnerAt returns the edge paired with e at node v, or -1 when e is the
-// unpaired leftover edge of an odd-degree node. Edges 2i and 2i+1 of the
-// sorted incident order are partners.
+// unpaired leftover edge of an odd-degree node. The pairing follows the
+// "arbitrary fixed order" of the paper, made canonical so that every node
+// (and every view) computes the same one: v's incident edges sorted by the
+// neighbor's ID, where the edges of rank 2i and 2i+1 are partners. Rather
+// than sorting, one scan finds e's rank (the number of incident edges whose
+// far endpoint has a smaller ID) together with the edges of the next
+// smaller and next larger neighbor ID; the partner of rank rank^1 is the
+// former when the rank is odd and the latter when it is even.
 func partnerAt(g *graph.Graph, v, e int) int {
-	inc := sortedIncident(g, v)
-	for i, f := range inc {
-		if f != e {
-			continue
+	nbrs := g.Neighbors(v)
+	id := g.ID(g.Other(e, v))
+	rank, pred, succ := 0, -1, -1
+	var predID, succID int64
+	for i, f := range g.IncidentEdges(v) {
+		fid := g.ID(nbrs[i])
+		switch {
+		case fid < id:
+			rank++
+			if pred == -1 || fid > predID {
+				pred, predID = f, fid
+			}
+		case fid > id:
+			if succ == -1 || fid < succID {
+				succ, succID = f, fid
+			}
 		}
-		j := i ^ 1
-		if j >= len(inc) {
-			return -1 // odd degree, last edge unpaired
-		}
-		return inc[j]
 	}
-	return -1
+	if rank%2 == 1 {
+		return pred
+	}
+	return succ // -1 when e is the last edge of an odd degree
 }
 
 // Trail is one trail of the decomposition: Nodes[i] and Nodes[i+1] are the
@@ -187,7 +191,12 @@ func CanonicalDirection(g *graph.Graph, t *Trail) bool {
 // in particular on the subgraph of a LOCAL view, where pairings of nodes
 // with complete neighborhoods agree with the host graph's.
 func Walk(g *graph.Graph, startNode, firstEdge, maxSteps int) (nodes, edges []int, wrapped bool) {
-	nodes = []int{startNode}
+	// A walk traverses each edge at most once, so it takes at most
+	// min(maxSteps, M) steps.
+	size := max(min(maxSteps, g.M()), 0) + 1
+	nodes = make([]int, 1, size)
+	edges = make([]int, 0, size)
+	nodes[0] = startNode
 	cur, curEdge := startNode, firstEdge
 	for step := 0; step < maxSteps; step++ {
 		next := g.Other(curEdge, cur)
