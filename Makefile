@@ -68,6 +68,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeVarArbitraryAdvice -fuzztime=30s ./internal/orient
 	$(GO) test -fuzz=FuzzDecodeArbitraryBits -fuzztime=30s ./internal/growth
 	$(GO) test -fuzz=FuzzHandleDecode -fuzztime=30s ./internal/server
+	$(GO) test -fuzz=FuzzHandleBatch -fuzztime=30s ./internal/server
+	$(GO) test -fuzz=FuzzHandleImport -fuzztime=30s ./internal/server
+	$(GO) test -fuzz=FuzzDecodeBatchResponseExt -fuzztime=30s ./internal/server
 	$(GO) test -fuzz=FuzzTableBinary -fuzztime=30s ./internal/persist
 	$(GO) test -fuzz=FuzzDecompose -fuzztime=30s ./internal/decomp
 	$(GO) test -fuzz=FuzzSolveDeterministic -fuzztime=30s ./internal/lll
@@ -76,8 +79,8 @@ fuzz:
 bench:
 	scripts/bench.sh BENCH_$(DATE).json
 
-# Message-engine + LLL subset (sharded scheduler vs goroutine engine,
-# Moser-Tardos resampling throughput), recorded the same way.
+# Message-engine + LLL subset (sharded scheduler vs frugal engine, worker
+# sweeps, Moser-Tardos resampling throughput), recorded the same way.
 bench-msg:
 	scripts/bench.sh BENCH_$(DATE)_msg.json 'Engine|MessageEngine|MoserTardos|LLL'
 

@@ -229,8 +229,7 @@ func BenchmarkBuildView(b *testing.B) {
 }
 
 func BenchmarkMessageEngine(b *testing.B) {
-	// local.Run is the sharded scheduler; BenchmarkEngineGoroutine tracks
-	// the retained channel-based engine on the same shape of workload.
+	// local.Run is the sharded scheduler.
 	g := graph.Grid2D(10, 10)
 	proto := &local.GatherProtocol{Radius: 2, Decide: func(view *local.View) any { return view.G.N() }}
 	b.ResetTimer()
@@ -652,17 +651,6 @@ func BenchmarkE5DeltaColoring512(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineGoroutine(b *testing.B) {
-	g := graph.Grid2D(12, 12)
-	proto := &local.GatherProtocol{Radius: 2, Decide: func(view *local.View) any { return view.G.N() }}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := local.RunGoroutine(g, proto, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // floodProtocol floods the maximum ID seen so far for a fixed number of
 // rounds: the message-engine reference protocol of the 4096-node grid
 // benchmarks. Per-node work is a few comparisons, so these benchmarks
@@ -721,8 +709,6 @@ func benchEngine4096(b *testing.B, run func(*graph.Graph, local.Protocol, local.
 }
 
 func BenchmarkEngineScheduler4096(b *testing.B) { benchEngine4096(b, local.Run) }
-
-func BenchmarkEngineGoroutine4096(b *testing.B) { benchEngine4096(b, local.RunGoroutine) }
 
 // BenchmarkEngineFrugal4096 times the skeleton-simulating engine on the same
 // flood workload; the delta over BenchmarkEngineScheduler4096 is the cost of

@@ -59,9 +59,8 @@ type detlllReport struct {
 	Warm   []detWarm  `json:"warm"`
 }
 
-// cmdDetLLL compares the three LLL resolution methods — seeded Moser–Tardos
-// (mt), conditional expectations (det), and the decomposition-guided
-// deterministic variant (decomposed) — on one graph per schema, then
+// cmdDetLLL compares the two LLL resolution methods — seeded Moser–Tardos
+// (mt) and conditional expectations (det) — on one graph per schema, then
 // measures the serving-layer payoff of the det path: warm cache hit rates
 // under rotating request seeds for the det-mode vs the seeded schema
 // entries.

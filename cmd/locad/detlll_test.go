@@ -76,8 +76,8 @@ func TestDetLLLJSONShape(t *testing.T) {
 	if decErr != nil {
 		t.Fatal(decErr)
 	}
-	if len(rep.Points) != 6 {
-		t.Fatalf("%d points, want 2 schemas x 3 methods", len(rep.Points))
+	if len(rep.Points) != 4 {
+		t.Fatalf("%d points, want 2 schemas x 2 methods", len(rep.Points))
 	}
 	for _, pt := range rep.Points {
 		if !pt.Valid {

@@ -27,7 +27,7 @@ func cmdFault(args []string) error {
 	crashNode := fs.Int("node", 0, "crash class: node index that crashes")
 	crashRound := fs.Int("round", 1, "crash class: round at which the node crashes")
 	radius := fs.Int("radius", 2, "crash class: view radius of the gather protocol")
-	engine := fs.String("engine", "message", "crash class: engine (message, goroutine, sequential)")
+	engine := fs.String("engine", "message", "crash class: engine (message, sequential)")
 	workers := workersFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,26 +81,14 @@ func runCrash(gg *graph.Graph, node, round, radius int, engine string, workers i
 	if node < 0 || node >= gg.N() {
 		return fmt.Errorf("crash node %d out of range [0,%d)", node, gg.N())
 	}
+	if engine != "message" && engine != "sequential" {
+		return fmt.Errorf("unknown engine %q for crash faults (have message, sequential)", engine)
+	}
 	cfg := local.RunConfig{
 		Workers: workers,
 		Fault:   &fault.Plan{CrashNode: node, CrashRound: round},
 	}
-	decide := func(view *local.View) any { return view.G.N()*1_000_000 + view.G.M() }
-	protocol := &local.GatherProtocol{Radius: radius, Decide: decide}
-
-	var outputs []any
-	var stats local.Stats
-	var err error
-	switch engine {
-	case "message":
-		outputs, stats, err = local.RunMessageConfig(gg, protocol, nil, cfg)
-	case "goroutine":
-		outputs, stats, err = local.RunGoroutineConfig(gg, protocol, nil, cfg)
-	case "sequential":
-		outputs, stats, err = local.RunSequentialConfig(gg, protocol, nil, cfg)
-	default:
-		return fmt.Errorf("unknown engine %q for crash faults (have message, goroutine, sequential)", engine)
-	}
+	outputs, stats, err := local.RunDecider(engineName(engine), gg, nil, radius, viewSize, cfg)
 	if err != nil {
 		return err
 	}

@@ -113,8 +113,8 @@ subcommands:
   compress          compress and decompress a random edge subset
   graphinfo         print a generated graph's parameters
   engine            run the radius-T view-gathering reference protocol on a
-                    chosen execution engine (-engine {ball,message,goroutine,
-                    sequential,frugal} -workers <w>) and report rounds/
+                    chosen execution engine (-engine {%s},
+                    message = scheduler; -workers <w>) and report rounds/
                     messages/time
   msgred            measure the frugal engine's message/byte reduction vs the
                     stock scheduler on a flood workload (-graph, -n, -rho,
@@ -125,8 +125,8 @@ subcommands:
                     contiguous index shards (-graphs -sched-workers -reps
                     -json)
   detlll            compare LLL resolution methods (seeded Moser-Tardos vs the
-                    deterministic conditional-expectations and decomposed
-                    solvers) on one graph: solver work, seed-independence of
+                    deterministic conditional-expectations solver) on one
+                    graph: solver work, seed-independence of
                     the advice, and the det-mode schemas' warm cache hit-rate
                     advantage under rotating request seeds (-schemas -seeds
                     -cap -json)
@@ -156,7 +156,7 @@ subcommands:
 
 common flags: -graph {cycle,path,grid,torus,regular,planted3,planted4,gnp} -n <size> -seed <s>
               -workers <w>  view-engine / experiment worker count (0 = GOMAXPROCS)
-`)
+`, strings.Join(local.EngineNames(), ","))
 }
 
 // workersFlag registers the shared -workers flag. applyWorkers must be
@@ -423,7 +423,7 @@ func cmdEngine(args []string) error {
 	fs := flag.NewFlagSet("engine", flag.ContinueOnError)
 	kind, n, seed := graphFlags(fs)
 	radius := fs.Int("radius", 2, "view radius T of the reference protocol")
-	engine := fs.String("engine", "message", "execution engine: ball, message (sharded scheduler), goroutine, sequential, frugal (skeleton transport)")
+	engine := engineFlag(fs)
 	workers := workersFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -433,27 +433,9 @@ func cmdEngine(args []string) error {
 	if err != nil {
 		return err
 	}
-	decide := func(view *local.View) any { return view.G.N()*1_000_000 + view.G.M() }
 
-	var (
-		outputs []any
-		stats   local.Stats
-	)
 	start := time.Now()
-	switch *engine {
-	case "ball":
-		outputs, stats = local.RunBallConfig(g, nil, *radius, decide, local.RunConfig{Workers: w})
-	case "message":
-		outputs, stats, err = local.RunMessageConfig(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil, local.RunConfig{Workers: w})
-	case "goroutine":
-		outputs, stats, err = local.RunGoroutine(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil)
-	case "sequential":
-		outputs, stats, err = local.RunSequential(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil)
-	case "frugal":
-		outputs, stats, err = local.RunFrugalConfig(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil, local.RunConfig{Workers: w})
-	default:
-		return fmt.Errorf("unknown engine %q (have ball, message, goroutine, sequential, frugal)", *engine)
-	}
+	outputs, stats, err := local.RunDecider(engineName(*engine), g, nil, *radius, viewSize, local.RunConfig{Workers: w})
 	if err != nil {
 		return err
 	}
@@ -470,6 +452,26 @@ func cmdEngine(args []string) error {
 	fmt.Printf("  wall time: %s\n", elapsed.Round(time.Microsecond))
 	return nil
 }
+
+// engineFlag registers the -engine flag of the engine-workload subcommands
+// (engine, trace). Its values are local.EngineNames(), plus the CLI spelling
+// "message" for the sharded scheduler, which is the default.
+func engineFlag(fs *flag.FlagSet) *string {
+	return fs.String("engine", "message", "execution engine: "+strings.Join(local.EngineNames(), ", ")+" (message = scheduler)")
+}
+
+// engineName maps an -engine value to the local.RunDecider engine name.
+func engineName(flagValue string) string {
+	if flagValue == "message" {
+		return "scheduler"
+	}
+	return flagValue
+}
+
+// viewSize is the engine workload's decide function: a node's output is its
+// radius-T view's node and edge count, so the output checksum is the same on
+// every engine.
+func viewSize(view *local.View) any { return view.G.N()*1_000_000 + view.G.M() }
 
 func cmdGraphInfo(args []string) error {
 	fs := flag.NewFlagSet("graphinfo", flag.ContinueOnError)

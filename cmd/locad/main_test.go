@@ -43,9 +43,13 @@ func TestRunSubcommands(t *testing.T) {
 		{"exp e2", []string{"exp", "E2"}},
 		{"engine message", []string{"engine", "-graph", "grid", "-n", "100", "-radius", "2", "-engine", "message", "-workers", "2"}},
 		{"engine ball", []string{"engine", "-graph", "cycle", "-n", "64", "-engine", "ball"}},
-		{"engine goroutine", []string{"engine", "-graph", "torus", "-n", "36", "-engine", "goroutine"}},
+		{"engine scheduler", []string{"engine", "-graph", "torus", "-n", "36", "-engine", "scheduler"}},
 		{"engine sequential", []string{"engine", "-graph", "grid", "-n", "49", "-engine", "sequential"}},
 		{"engine frugal", []string{"engine", "-graph", "grid", "-n", "100", "-engine", "frugal"}},
+		{"trace message", []string{"trace", "-graph", "cycle", "-n", "32", "-engine", "message", "-o", os.DevNull}},
+		{"trace frugal", []string{"trace", "-graph", "grid", "-n", "49", "-engine", "frugal", "-o", os.DevNull}},
+		{"fault crash message", []string{"fault", "-class", "crash", "-graph", "cycle", "-n", "30", "-engine", "message", "-node", "5", "-round", "2"}},
+		{"fault crash sequential", []string{"fault", "-class", "crash", "-graph", "cycle", "-n", "30", "-engine", "sequential", "-node", "5", "-round", "2"}},
 		{"msgred", []string{"msgred", "-graph", "cycle", "-n", "64"}},
 		{"msgred json", []string{"msgred", "-graph", "grid", "-n", "49", "-rho", "1", "-json"}},
 		{"decomp", []string{"decomp", "-graph", "grid", "-n", "100", "-beta", "0.3"}},
@@ -75,6 +79,8 @@ func TestRunErrors(t *testing.T) {
 		{"unknown experiment", []string{"exp", "E99"}},
 		{"unknown graph", []string{"orient", "-graph", "klein-bottle"}},
 		{"unknown engine", []string{"engine", "-engine", "steam"}},
+		{"trace unknown engine", []string{"trace", "-engine", "goroutine", "-o", os.DevNull}},
+		{"fault crash on ball", []string{"fault", "-class", "crash", "-engine", "ball"}},
 		{"bad proof problem", []string{"prove", "-problem", "traveling-salesman"}},
 		{"wrong proof length", []string{"verifyproof", "-graph", "cycle", "-n", "10", "-proof", "01"}},
 		{"bad proof chars", []string{"verifyproof", "-graph", "cycle", "-n", "3", "-proof", "0x1"}},

@@ -19,7 +19,7 @@ func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	kind, n, seed := graphFlags(fs)
 	radius := fs.Int("radius", 2, "view radius T of the reference protocol")
-	engine := fs.String("engine", "message", "execution engine: ball, message (sharded scheduler), goroutine, sequential")
+	engine := engineFlag(fs)
 	out := fs.String("o", "-", "JSONL trace output file ('-' for stdout)")
 	profilePath := fs.String("profile", "", "write a CPU profile of the traced run to this file")
 	workers := workersFlag(fs)
@@ -45,21 +45,7 @@ func cmdTrace(args []string) error {
 
 	c := &obs.Collector{}
 	c.Start()
-	decide := func(view *local.View) any { return view.G.N()*1_000_000 + view.G.M() }
-	cfg := local.RunConfig{Workers: w, Metrics: c}
-	var stats local.Stats
-	switch *engine {
-	case "ball":
-		_, stats, err = local.TryRunBallConfig(g, nil, *radius, decide, cfg)
-	case "message":
-		_, stats, err = local.RunMessageConfig(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil, cfg)
-	case "goroutine":
-		_, stats, err = local.RunGoroutineConfig(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil, cfg)
-	case "sequential":
-		_, stats, err = local.RunSequentialConfig(g, &local.GatherProtocol{Radius: *radius, Decide: decide}, nil, cfg)
-	default:
-		return fmt.Errorf("unknown engine %q (have ball, message, goroutine, sequential)", *engine)
-	}
+	_, stats, err := local.RunDecider(engineName(*engine), g, nil, *radius, viewSize, local.RunConfig{Workers: w, Metrics: c})
 	if err != nil {
 		return err
 	}

@@ -23,9 +23,8 @@ func colorAdviceFingerprint(a local.Advice) string {
 // TestEncodeDetValidAndSeedFree pins the deterministic mark-selection path
 // of the Section 7 pipeline on families where the ruling-group machinery
 // runs for real (the strip and the chorded cycle have rulers > 0): the
-// conditional-expectations advice is identical across runs and identical
-// to the decomposition-guided variant, and it decodes to a verified proper
-// 3-coloring. The IDs are permuted to a labelling where the greedy
+// conditional-expectations advice is identical across runs, and it decodes
+// to a verified proper 3-coloring. The IDs are permuted to a labelling where the greedy
 // ruling-group placer is feasible (it is ID-order sensitive; see the
 // harness e12Graphs comment).
 func TestEncodeDetValidAndSeedFree(t *testing.T) {
@@ -49,13 +48,6 @@ func TestEncodeDetValidAndSeedFree(t *testing.T) {
 			}
 			if colorAdviceFingerprint(again) != fp {
 				t.Fatal("EncodeDet is not deterministic")
-			}
-			dec, err := tc.EncodeDecomposed(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if colorAdviceFingerprint(dec) != fp {
-				t.Fatal("decomposed selection differs from conditional expectations")
 			}
 			sol, _, err := tc.DecodeOn("ball", g, det, local.RunConfig{})
 			if err != nil {

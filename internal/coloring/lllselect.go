@@ -20,11 +20,9 @@ import (
 // neighbors). Encode (three.go) resolves the choices greedily in ruler
 // order; here each ruler's choice is a variable whose domain enumerates the
 // feasible-in-isolation candidate groups, interactions become pairwise bad
-// events, and the instance is solved by Moser–Tardos (EncodeLLL), by
-// conditional expectations (EncodeDet), or ball-by-ball over the event
-// dependency graph's decomposition (EncodeDecomposed). The deterministic
-// paths take no RNG at all, so their advice is a pure function of the
-// graph. Every path ends with the same prover self-check as Encode: the
+// events, and the instance is solved by Moser–Tardos (EncodeLLL) or by
+// conditional expectations (EncodeDet). The deterministic path takes no
+// RNG at all, so its advice is a pure function of the graph. Every path ends with the same prover self-check as Encode: the
 // advice must decode to a verified proper 3-coloring.
 
 // maxCandidateGroups caps each ruler's domain; the greedy encoder takes the
@@ -283,29 +281,6 @@ func (t ThreeColoring) EncodeDetObserved(g *graph.Graph, m *obs.Collector) (loca
 	res, err := lll.SolveDeterministicObserved(sys.inst, m)
 	if err != nil {
 		return nil, fmt.Errorf("coloring: deterministic group selection: %w", err)
-	}
-	return t.finish(g, sys, res.Assignment)
-}
-
-// EncodeDecomposed is EncodeDet running ball-by-ball over the selection
-// instance's event dependency graph (lll.SolveDecomposed). Also RNG-free.
-func (t ThreeColoring) EncodeDecomposed(g *graph.Graph) (local.Advice, error) {
-	return t.EncodeDecomposedObserved(g, obs.Default())
-}
-
-// EncodeDecomposedObserved is EncodeDecomposed with an explicit metrics
-// collector.
-func (t ThreeColoring) EncodeDecomposedObserved(g *graph.Graph, m *obs.Collector) (local.Advice, error) {
-	sys, err := t.buildSelectSystem(g)
-	if err != nil {
-		return nil, err
-	}
-	if len(sys.rulers) == 0 {
-		return t.finish(g, sys, nil)
-	}
-	res, err := lll.SolveDecomposedObserved(sys.inst, m)
-	if err != nil {
-		return nil, fmt.Errorf("coloring: decomposed group selection: %w", err)
 	}
 	return t.finish(g, sys, res.Assignment)
 }

@@ -58,7 +58,7 @@ func shardProtocols(g *graph.Graph) map[string]local.Protocol {
 // TestPartitionedSchedulerEquivalence is satellite 3's core property: with
 // RunConfig.Partition set to the low-cut ball shards, the sharded scheduler
 // and the frugal engine produce outputs and stats bit-identical to their
-// contiguous-sharding runs (and to the goroutine reference) at every worker
+// contiguous-sharding runs (and to the sequential reference) at every worker
 // count.
 func TestPartitionedSchedulerEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
@@ -70,9 +70,9 @@ func TestPartitionedSchedulerEquivalence(t *testing.T) {
 			}
 			part := ShardPartition(0.2, seed)
 			for pname, p := range shardProtocols(g) {
-				refOut, refStats, err := local.RunGoroutine(g, p, advice)
+				refOut, refStats, err := local.RunSequential(g, p, advice)
 				if err != nil {
-					t.Fatalf("seed %d %s/%s: goroutine engine: %v", seed, gname, pname, err)
+					t.Fatalf("seed %d %s/%s: sequential engine: %v", seed, gname, pname, err)
 				}
 				for _, w := range []int{2, 8} {
 					contOut, contStats, err := local.RunMessageConfig(g, p, advice, local.RunConfig{Workers: w})
@@ -85,12 +85,12 @@ func TestPartitionedSchedulerEquivalence(t *testing.T) {
 						t.Fatalf("seed %d %s/%s workers %d: partitioned: %v", seed, gname, pname, w, err)
 					}
 					if partStats != contStats || partStats != refStats {
-						t.Fatalf("seed %d %s/%s workers %d: stats partitioned %+v, contiguous %+v, goroutine %+v",
+						t.Fatalf("seed %d %s/%s workers %d: stats partitioned %+v, contiguous %+v, sequential %+v",
 							seed, gname, pname, w, partStats, contStats, refStats)
 					}
 					for v := range partOut {
 						if partOut[v] != contOut[v] || partOut[v] != refOut[v] {
-							t.Fatalf("seed %d %s/%s workers %d node %d: partitioned %v, contiguous %v, goroutine %v",
+							t.Fatalf("seed %d %s/%s workers %d node %d: partitioned %v, contiguous %v, sequential %v",
 								seed, gname, pname, w, v, partOut[v], contOut[v], refOut[v])
 						}
 					}
@@ -112,23 +112,9 @@ func TestPartitionedSchedulerEquivalence(t *testing.T) {
 					}
 					for v := range fPartOut {
 						if fPartOut[v] != fContOut[v] || fPartOut[v] != refOut[v] {
-							t.Fatalf("seed %d %s/%s workers %d node %d: frugal partitioned %v, contiguous %v, goroutine %v",
+							t.Fatalf("seed %d %s/%s workers %d node %d: frugal partitioned %v, contiguous %v, sequential %v",
 								seed, gname, pname, w, v, fPartOut[v], fContOut[v], refOut[v])
 						}
-					}
-				}
-				// Sequential engine closes the five-engine loop.
-				seqOut, seqStats, err := local.RunSequential(g, p, advice)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s: sequential: %v", seed, gname, pname, err)
-				}
-				if seqStats != refStats {
-					t.Fatalf("seed %d %s/%s: sequential stats %+v, goroutine %+v", seed, gname, pname, seqStats, refStats)
-				}
-				for v := range seqOut {
-					if seqOut[v] != refOut[v] {
-						t.Fatalf("seed %d %s/%s node %d: sequential %v, goroutine %v",
-							seed, gname, pname, v, seqOut[v], refOut[v])
 					}
 				}
 			}
@@ -139,16 +125,16 @@ func TestPartitionedSchedulerEquivalence(t *testing.T) {
 // TestPartitionedCrashAgreement mirrors the crash-fault engine agreement
 // suite with ball-shard partitioning enabled: the crashed node's typed
 // error and every survivor's output are identical to the contiguous
-// scheduler, the goroutine engine and the sequential engine.
+// scheduler and the sequential engine.
 func TestPartitionedCrashAgreement(t *testing.T) {
 	g := graph.Cycle(30)
 	plan := &fault.Plan{CrashNode: 5, CrashRound: 2}
 	p := &local.GatherProtocol{Radius: 3, Decide: viewFP}
 	part := ShardPartition(0.2, 3)
 
-	refOut, refStats, err := local.RunGoroutineConfig(g, p, nil, local.RunConfig{Fault: plan})
+	refOut, refStats, err := local.RunSequentialConfig(g, p, nil, local.RunConfig{Fault: plan})
 	if err != nil {
-		t.Fatalf("goroutine: %v", err)
+		t.Fatalf("sequential: %v", err)
 	}
 	var ce fault.CrashError
 	if !errors.As(refOut[5].(error), &ce) || ce.Node != 5 || ce.Round != 2 {
@@ -165,11 +151,11 @@ func TestPartitionedCrashAgreement(t *testing.T) {
 			t.Fatalf("partitioned workers %d: %v", w, err)
 		}
 		if stats != refStats {
-			t.Fatalf("partitioned workers %d: stats %+v, goroutine %+v", w, stats, refStats)
+			t.Fatalf("partitioned workers %d: stats %+v, sequential %+v", w, stats, refStats)
 		}
 		for v := range out {
 			if fmt.Sprint(out[v]) != fmt.Sprint(refOut[v]) {
-				t.Fatalf("partitioned workers %d node %d: %v, goroutine %v", w, v, out[v], refOut[v])
+				t.Fatalf("partitioned workers %d node %d: %v, sequential %v", w, v, out[v], refOut[v])
 			}
 		}
 		fOut, _, err := local.RunFrugalConfig(g, p, nil,
@@ -179,7 +165,7 @@ func TestPartitionedCrashAgreement(t *testing.T) {
 		}
 		for v := range fOut {
 			if fmt.Sprint(fOut[v]) != fmt.Sprint(refOut[v]) {
-				t.Fatalf("frugal partitioned workers %d node %d: %v, goroutine %v", w, v, fOut[v], refOut[v])
+				t.Fatalf("frugal partitioned workers %d node %d: %v, sequential %v", w, v, fOut[v], refOut[v])
 			}
 		}
 	}

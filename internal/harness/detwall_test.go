@@ -37,10 +37,10 @@ func solutionFingerprint(s *lcl.Solution) string {
 }
 
 // TestDetSeedIndependenceWall is the tentpole property wall: for both
-// LLL-backed schemas, the deterministic methods (conditional expectations
-// and the decomposition-guided variant) produce byte-identical advice
-// across 5 distinct seeds, that advice decodes to byte-identical valid
-// outputs on every engine at workers -1, 1, and 8, and the seeded
+// LLL-backed schemas, the deterministic method (conditional expectations)
+// produces byte-identical advice across 5 distinct seeds, that advice
+// decodes to byte-identical valid outputs on every engine at workers -1, 1,
+// and 8, and the seeded
 // Moser–Tardos reference — checked against the same lcl.Verify full
 // recheck — confirms the deterministic outputs solve the same problem.
 func TestDetSeedIndependenceWall(t *testing.T) {
@@ -50,55 +50,52 @@ func TestDetSeedIndependenceWall(t *testing.T) {
 			g := detWallGraph(ds.Name)
 			problem := ds.Problem(g)
 
-			for _, method := range []DetMethod{MethodDet, MethodDecomposed} {
-				method := method
-				t.Run(string(method), func(t *testing.T) {
-					// Advice must ignore the seed entirely.
-					var first local.Advice
-					var firstFP string
-					for _, seed := range e12Seeds() {
-						a, err := ds.EncodeWith(method, g, seed, nil)
+			t.Run(string(MethodDet), func(t *testing.T) {
+				// Advice must ignore the seed entirely.
+				var first local.Advice
+				var firstFP string
+				for _, seed := range e12Seeds() {
+					a, err := ds.EncodeWith(MethodDet, g, seed, nil)
+					if err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					fp := adviceFingerprint(a)
+					if first == nil {
+						first, firstFP = a, fp
+						continue
+					}
+					if fp != firstFP {
+						t.Fatalf("advice differs between seed %d and seed %d", seed, e12Seeds()[0])
+					}
+				}
+
+				// One advice, every engine, three worker counts: all
+				// decodes byte-identical and Verify-clean.
+				var wantSol string
+				for _, engine := range local.EngineNames() {
+					for _, workers := range []int{-1, 1, 8} {
+						sol, _, err := ds.DecodeOn(engine, g, first, local.RunConfig{Workers: workers})
 						if err != nil {
-							t.Fatalf("seed %d: %v", seed, err)
+							t.Fatalf("%s workers=%d: %v", engine, workers, err)
 						}
-						fp := adviceFingerprint(a)
-						if first == nil {
-							first, firstFP = a, fp
+						if err := lcl.Verify(problem, g, sol); err != nil {
+							t.Fatalf("%s workers=%d: invalid output: %v", engine, workers, err)
+						}
+						fp := solutionFingerprint(sol)
+						if wantSol == "" {
+							wantSol = fp
 							continue
 						}
-						if fp != firstFP {
-							t.Fatalf("advice differs between seed %d and seed %d", seed, e12Seeds()[0])
+						if fp != wantSol {
+							t.Fatalf("%s workers=%d decoded differently than the first engine", engine, workers)
 						}
 					}
-
-					// One advice, every engine, three worker counts: all
-					// decodes byte-identical and Verify-clean.
-					var wantSol string
-					for _, engine := range local.EngineNames() {
-						for _, workers := range []int{-1, 1, 8} {
-							sol, _, err := ds.DecodeOn(engine, g, first, local.RunConfig{Workers: workers})
-							if err != nil {
-								t.Fatalf("%s workers=%d: %v", engine, workers, err)
-							}
-							if err := lcl.Verify(problem, g, sol); err != nil {
-								t.Fatalf("%s workers=%d: invalid output: %v", engine, workers, err)
-							}
-							fp := solutionFingerprint(sol)
-							if wantSol == "" {
-								wantSol = fp
-								continue
-							}
-							if fp != wantSol {
-								t.Fatalf("%s workers=%d decoded differently than the first engine", engine, workers)
-							}
-						}
-					}
-				})
-			}
+				}
+			})
 
 			// Moser–Tardos reference: each seed's advice decodes to a valid
-			// output under the same full recheck — the deterministic paths
-			// trade its seed-dependence away without losing correctness.
+			// output under the same full recheck — the deterministic path
+			// trades its seed-dependence away without losing correctness.
 			for _, seed := range e12Seeds() {
 				a, err := ds.EncodeWith(MethodMT, g, seed, nil)
 				if err != nil {

@@ -17,8 +17,8 @@ import (
 // This file is the deterministic-LLL pipeline surface: the DetSchema
 // adapters that switch the two LLL-backed advice schemas (orient shift
 // placement, ruling-group selection of the 3-coloring schema) between
-// Moser–Tardos and the derandomized solvers, and experiment E12 comparing
-// the three methods. The adapters are shared by E12, the seed-independence
+// Moser–Tardos and the derandomized solver, and experiment E12 comparing
+// the two methods. The adapters are shared by E12, the seed-independence
 // test wall, the `locad detlll` subcommand, and the server's det-mode
 // schema entries.
 
@@ -32,13 +32,10 @@ const (
 	// MethodDet resolves it by the method of conditional expectations — no
 	// RNG, advice is a pure function of the graph.
 	MethodDet DetMethod = "det"
-	// MethodDecomposed is MethodDet running ball-by-ball over a low-diameter
-	// decomposition of the event dependency graph.
-	MethodDecomposed DetMethod = "decomposed"
 )
 
-// DetMethods lists the three methods in E12 row order.
-func DetMethods() []DetMethod { return []DetMethod{MethodMT, MethodDet, MethodDecomposed} }
+// DetMethods lists the two methods in E12 row order.
+func DetMethods() []DetMethod { return []DetMethod{MethodMT, MethodDet} }
 
 // detMTCap bounds the Moser–Tardos resampling work of the adapters; the E12
 // families satisfy the symmetric LLL condition, so actual counts stay far
@@ -54,8 +51,8 @@ type DetSchema struct {
 	// Problem is the LCL the decoded output is verified against.
 	Problem func(g *graph.Graph) lcl.Problem
 	// EncodeWith computes the advice with the given method. seed drives
-	// Moser–Tardos only (MethodDet/MethodDecomposed ignore it — their output
-	// is a pure function of g). Solver metrics (lll.resamplings,
+	// Moser–Tardos only (MethodDet ignores it — its output is a pure
+	// function of g). Solver metrics (lll.resamplings,
 	// lll.evaluations, lll.repairs, lll.events, …) are reported into m; a
 	// nil collector records nothing. MethodMT runs under the detMTCap
 	// resampling bound.
@@ -105,8 +102,6 @@ func DetSchemas() []DetSchema {
 					va, err = orientSchema.EncodeVarLLLObserved(g, rand.New(rand.NewSource(seed)), detMTCap, m)
 				case MethodDet:
 					va, err = orientSchema.EncodeVarDetObserved(g, m)
-				case MethodDecomposed:
-					va, err = orientSchema.EncodeVarDecomposedObserved(g, m)
 				default:
 					err = fmt.Errorf("unknown det method %q", method)
 				}
@@ -135,8 +130,6 @@ func DetSchemas() []DetSchema {
 					return threeSchema.EncodeLLLObserved(g, rand.New(rand.NewSource(seed)), detMTCap, m)
 				case MethodDet:
 					return threeSchema.EncodeDetObserved(g, m)
-				case MethodDecomposed:
-					return threeSchema.EncodeDecomposedObserved(g, m)
 				default:
 					return nil, fmt.Errorf("unknown det method %q", method)
 				}
@@ -224,14 +217,14 @@ func eventTotal(c *obs.Collector, kind string) int64 {
 	return total
 }
 
-// RunE12 compares the three LLL resolution methods — Moser–Tardos (mt),
-// conditional expectations (det), and the decomposition-guided variant
-// (decomposed) — for both LLL-backed schemas across graph families. Each
+// RunE12 compares the two LLL resolution methods — Moser–Tardos (mt) and
+// conditional expectations (det) — for both LLL-backed schemas across
+// graph families. Each
 // (schema, family, method) cell runs the encoder under 5 seeds and reports
 // the instance size, the mean resampling and Bad-evaluation counts (the
 // work unit the randomized and deterministic paths share), the mean repair
 // moves, the advice bits, the number of distinct advice outputs across the
-// seeds (the seed-independence measurement: always 1 on the det paths,
+// seeds (the seed-independence measurement: always 1 on the det path,
 // routinely > 1 for mt wherever the instance leaves any freedom), and the
 // decode rounds + verification of the final advice.
 func RunE12() (*Table, error) {
@@ -280,8 +273,8 @@ func RunE12() (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"det/decomposed rows always show resamp 0 and distinct5 1: conditional expectations takes no RNG, so the advice is a pure function of the graph — the basis of the seedless det-mode cache keys (DESIGN.md decision 12)",
-		"evals counts Bad-predicate calls, the work unit shared by all three methods; mt's evals vary with the seed (the mean over the 5 seeds is shown), det's are exact and constant",
+		"det rows always show resamp 0 and distinct5 1: conditional expectations takes no RNG, so the advice is a pure function of the graph — the basis of the seedless det-mode cache keys (DESIGN.md decision 12)",
+		"evals counts Bad-predicate calls, the work unit shared by both methods; mt's evals vary with the seed (the mean over the 5 seeds is shown), det's are exact and constant",
 		"tristrip/chordcycle are the families whose pendant-leaf structure makes the Section 7 ruling-group selection run for real (rulers > 0); there mt's advice differs across seeds while det stays bit-identical",
 		"color3 events is always 0: with valid parameters (CoverRadius >= 4*GroupSpread+2) ruler spacing keeps candidate-group reaches disjoint, so the selection instance is structurally conflict-free — yet mt still samples its initial assignment at random, which is exactly the seed dependence the det path removes",
 		"orient families satisfy the symmetric LLL condition e*p*(d+1) <= 1; grid/torus shift systems violate it (dependency degree ~45) and stay on the greedy placement path",

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -22,24 +23,59 @@ func goldenPath(id string) string {
 	return filepath.Join("testdata", "golden", id+".golden")
 }
 
-// renderExperiment runs one experiment and renders its table exactly as the
-// locad CLI prints it.
+// rendered memoises renderExperiment's output per experiment ID, so
+// TestAllExperimentsRun and TestGoldenTables share one run of each
+// experiment within a test binary.
+var rendered sync.Map // experiment ID -> *renderedTable
+
+type renderedTable struct {
+	once sync.Once
+	text string
+	err  error
+}
+
+// renderExperiment runs one experiment (once per test binary) and renders
+// its table exactly as the locad CLI prints it. It also checks the table's
+// shape — at least one row, every row as wide as the header, the experiment
+// ID in the rendered text — so those checks hold under -update too.
 func renderExperiment(t *testing.T, e Experiment) string {
 	t.Helper()
+	v, _ := rendered.LoadOrStore(e.ID, &renderedTable{})
+	r := v.(*renderedTable)
+	r.once.Do(func() { r.text, r.err = checkedRender(e) })
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.text
+}
+
+// checkedRender runs e, checks its table's shape and renders it.
+func checkedRender(e Experiment) (string, error) {
 	table, err := e.Run()
 	if err != nil {
-		t.Fatalf("%s: %v", e.ID, err)
+		return "", fmt.Errorf("%s: %v", e.ID, err)
+	}
+	if len(table.Rows) == 0 {
+		return "", fmt.Errorf("%s: empty table", e.ID)
+	}
+	for _, row := range table.Rows {
+		if len(row) != len(table.Header) {
+			return "", fmt.Errorf("%s: row %v has %d cells for %d columns", e.ID, row, len(row), len(table.Header))
+		}
 	}
 	var sb strings.Builder
 	table.Render(&sb)
-	return sb.String()
+	if !strings.Contains(sb.String(), e.ID) {
+		return "", fmt.Errorf("%s: render missing experiment id", e.ID)
+	}
+	return sb.String(), nil
 }
 
-// TestGoldenTables pins every experiment's rendered table against its
-// snapshot in testdata/golden/. The experiments are deterministic (seeded
-// RNGs, fixed iteration order), so any diff is a real behavior change: a
-// numeric drift here means the published EXPERIMENTS.md values no longer
-// hold and both the golden file and the doc must be updated deliberately.
+// TestGoldenTables checks every experiment's table shape and pins the rendered table against its snapshot in testdata/golden/.
+// The experiments are deterministic (seeded RNGs, fixed iteration order), so
+// any diff is a real behavior change: a numeric drift here means the
+// published EXPERIMENTS.md values no longer hold and both the golden file
+// and the doc must be updated deliberately.
 func TestGoldenTables(t *testing.T) {
 	for _, e := range All() {
 		e := e

@@ -4,18 +4,13 @@ import (
 	"errors"
 	"fmt"
 
-	"localadvice/internal/decomp"
 	"localadvice/internal/obs"
 )
 
-// This file implements the derandomized solver paths: the method of
+// This file implements the derandomized solver path: the method of
 // conditional expectations over the compiled event–variable incidence
-// (SolveDeterministic), and a decomposition-guided variant that fixes
-// variables ball-by-ball over a low-diameter decomposition of the event
-// dependency graph (SolveDecomposed), emulating the round structure of the
-// distributed derandomization (PAPERS.md: "Distributed derandomization
-// revisited"). Neither path takes an RNG: for a fixed instance the output
-// is a pure function of the instance, identical across processes, worker
+// (SolveDeterministic). It takes no RNG: for a fixed instance the output is
+// a pure function of the instance, identical across processes, worker
 // counts and — unlike Moser–Tardos — seeds.
 //
 // The pessimistic estimator is the union bound Φ = Σ_j P(bad_j | prefix),
@@ -36,15 +31,6 @@ import (
 // variables' domain sizes). Instances whose events exceed it get
 // ErrEstimatorBudget instead of an unbounded enumeration.
 const estimatorBudget = 1 << 16
-
-// decomposedBeta and decomposedSeed are the fixed internal parameters of
-// SolveDecomposed's event-graph decomposition. They are constants — not
-// caller inputs — so the decomposed path stays seed-independent: the
-// decomposition is a pure function of the event dependency graph.
-const (
-	decomposedBeta = 0.2
-	decomposedSeed = 0x10cad
-)
 
 // ErrEstimatorBudget tags instances whose events have too many unassigned
 // variables (or too large domains) for exact conditional-expectation
@@ -365,99 +351,6 @@ func SolveDeterministicObserved(in *Instance, m *obs.Collector) (Result, error) 
 		m.Emit("lll.events", "", int64(in.NumEvents))
 		m.Emit("lll.evaluations", "", int64(st.evaluations))
 		m.Emit("lll.repairs", "", int64(repairs))
-	}
-	return Result{Assignment: st.assignment, Evaluations: st.evaluations, Repairs: repairs}, nil
-}
-
-// SolveDecomposed is the decomposition-guided deterministic path: it builds
-// the event dependency graph (events adjacent iff they share a variable),
-// decomposes it into low-diameter balls with decomp.Decompose under fixed
-// internal parameters, and runs the conditional-expectations walk
-// ball-by-ball — first the variables all of whose incident events lie in a
-// single ball (in ball order, emulating the parallel per-cluster rounds of
-// the distributed derandomization), then the cut variables spanning several
-// balls in a deterministic second pass, then the same repair pass as
-// SolveDeterministic. Like SolveDeterministic it takes no RNG; the two
-// paths may fix variables in different orders and so may return different
-// (but individually deterministic and always Bad-free) assignments.
-func SolveDecomposed(in *Instance) (Result, error) {
-	return SolveDecomposedObserved(in, obs.Default())
-}
-
-// SolveDecomposedObserved is SolveDecomposed reporting into the given
-// collector; beyond the SolveDeterministicObserved metrics it emits
-// "lll.balls" (event-graph decomposition balls) and "lll.cut_vars"
-// (variables deferred to the second pass).
-func SolveDecomposedObserved(in *Instance, m *obs.Collector) (Result, error) {
-	c, err := in.compile()
-	if err != nil {
-		return Result{}, err
-	}
-	eg, err := decomp.EventGraph(in.NumEvents, in.Vars)
-	if err != nil {
-		return Result{}, fmt.Errorf("lll: event graph: %w", err)
-	}
-	st := newEstimator(in, c)
-	// varBall[v]: the ball containing every event incident to v, or -1 for
-	// cut variables (incident events in several balls) and for variables
-	// with no events at all (fixed trivially in the second pass).
-	varBall := make([]int32, in.NumVars)
-	balls := 0
-	cutVars := 0
-	if in.NumEvents > 0 {
-		dec, err := decomp.Decompose(eg, decomposedBeta, decomposedSeed)
-		if err != nil {
-			return Result{}, fmt.Errorf("lll: event-graph decomposition: %w", err)
-		}
-		balls = dec.Balls()
-		for v := 0; v < in.NumVars; v++ {
-			varBall[v] = -1
-			for i, e := range c.eventsOf(v) {
-				b := dec.Ball[e]
-				if i == 0 {
-					varBall[v] = b
-				} else if varBall[v] != b {
-					varBall[v] = -1
-					break
-				}
-			}
-			if varBall[v] == -1 && len(c.eventsOf(v)) > 0 {
-				cutVars++
-			}
-		}
-	} else {
-		for v := range varBall {
-			varBall[v] = -1
-		}
-	}
-	// Pass 1: ball-internal variables, ball by ball (index order within a
-	// ball). Pass 2: cut variables and event-free variables, in index order.
-	for b := 0; b < balls; b++ {
-		for v := 0; v < in.NumVars; v++ {
-			if varBall[v] == int32(b) {
-				if err := st.fixVar(v); err != nil {
-					return Result{}, err
-				}
-			}
-		}
-	}
-	for v := 0; v < in.NumVars; v++ {
-		if st.assignment[v] == -1 {
-			if err := st.fixVar(v); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	repairs, err := st.repair()
-	if err != nil {
-		return Result{}, err
-	}
-	if m.Enabled() {
-		m.Emit("lll.events", "", int64(in.NumEvents))
-		m.Emit("lll.evaluations", "", int64(st.evaluations))
-		m.Emit("lll.repairs", "", int64(repairs))
-		m.Emit("lll.balls", "", int64(balls))
-		m.Emit("lll.cut_vars", "", int64(cutVars))
 	}
 	return Result{Assignment: st.assignment, Evaluations: st.evaluations, Repairs: repairs}, nil
 }

@@ -72,41 +72,6 @@ func TestDeterministicIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestDecomposedBadFreeAndDeterministic pins the decomposition-guided
-// variant: always Bad-free, always identical across runs, and identical to
-// itself under an installed collector (the metrics must not perturb the
-// walk). SolveDecomposed may legitimately fix variables in a different
-// order than SolveDeterministic, so the two paths are each pinned
-// individually rather than against each other.
-func TestDecomposedBadFreeAndDeterministic(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		rng := rand.New(rand.NewSource(int64(300 + trial)))
-		in, _, _ := kSATInstance(36, 28, 7, rng)
-		res, err := SolveDecomposed(in)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		assertBadFree(t, in, res.Assignment)
-		c := &obs.Collector{}
-		again, err := SolveDecomposedObserved(in, c)
-		if err != nil {
-			t.Fatalf("trial %d observed: %v", trial, err)
-		}
-		if fmt.Sprint(again.Assignment) != fmt.Sprint(res.Assignment) {
-			t.Fatalf("trial %d: observed run diverged", trial)
-		}
-		var balls int64
-		for _, e := range c.Events() {
-			if e.Kind == "lll.balls" {
-				balls += e.Value
-			}
-		}
-		if in.NumEvents > 0 && balls < 1 {
-			t.Fatalf("trial %d: decomposed run reported %d balls", trial, balls)
-		}
-	}
-}
-
 // TestDeterministicEventFreeVars pins the degenerate corners: variables with
 // no incident events take value 0, and an instance with no events at all is
 // the all-zero assignment.
@@ -118,15 +83,13 @@ func TestDeterministicEventFreeVars(t *testing.T) {
 		Vars:       func(int) []int { return nil },
 		Bad:        func(int, []int) bool { return false },
 	}
-	for _, solve := range []func(*Instance) (Result, error){SolveDeterministic, SolveDecomposed} {
-		res, err := solve(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v, x := range res.Assignment {
-			if x != 0 {
-				t.Errorf("event-free var %d = %d, want 0", v, x)
-			}
+	res, err := SolveDeterministic(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, x := range res.Assignment {
+		if x != 0 {
+			t.Errorf("event-free var %d = %d, want 0", v, x)
 		}
 	}
 }
@@ -179,11 +142,8 @@ func TestRepairStallTyped(t *testing.T) {
 			return a[0] != 1
 		},
 	}
-	for _, solve := range []func(*Instance) (Result, error){SolveDeterministic, SolveDecomposed} {
-		_, err := solve(in)
-		if !errors.Is(err, ErrRepairStall) {
-			t.Fatalf("err = %v, want ErrRepairStall", err)
-		}
+	if _, err := SolveDeterministic(in); !errors.Is(err, ErrRepairStall) {
+		t.Fatalf("err = %v, want ErrRepairStall", err)
 	}
 }
 
@@ -276,9 +236,6 @@ func TestDeterministicValidatesInstance(t *testing.T) {
 	bad := &Instance{NumVars: 1}
 	if _, err := SolveDeterministic(bad); err == nil {
 		t.Error("nil-callback instance accepted by SolveDeterministic")
-	}
-	if _, err := SolveDecomposed(bad); err == nil {
-		t.Error("nil-callback instance accepted by SolveDecomposed")
 	}
 }
 

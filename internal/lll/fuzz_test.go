@@ -60,11 +60,10 @@ func fuzzInstance(data []byte) *Instance {
 }
 
 // FuzzSolveDeterministic is the deterministic pipeline's crash wall: for
-// every generated instance, SolveDeterministic and SolveDecomposed either
-// return an assignment under which the naive full recheck finds no violated
-// event, or fail with one of the typed errors (ErrEstimatorBudget,
-// ErrRepairStall). They must never panic and never return an untyped error
-// on a validated instance.
+// every generated instance, SolveDeterministic either returns an assignment
+// under which the naive full recheck finds no violated event, or fails with
+// one of the typed errors (ErrEstimatorBudget, ErrRepairStall). It must
+// never panic and never return an untyped error on a validated instance.
 func FuzzSolveDeterministic(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 0, 1, 1, 2, 0})
@@ -76,41 +75,36 @@ func FuzzSolveDeterministic(f *testing.F) {
 	f.Add([]byte{4, 3, 0, 1, 1, 0, 2, 1, 3, 0, 0, 0, 1, 1, 2, 0, 3, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInstance(data)
-		for _, solve := range []struct {
-			name string
-			fn   func(*Instance) (Result, error)
-		}{{"det", SolveDeterministic}, {"decomposed", SolveDecomposed}} {
-			res, err := solve.fn(in)
-			if err != nil {
-				if !errors.Is(err, ErrEstimatorBudget) && !errors.Is(err, ErrRepairStall) {
-					t.Fatalf("%s: untyped error: %v", solve.name, err)
-				}
-				continue
+		res, err := SolveDeterministic(in)
+		if err != nil {
+			if !errors.Is(err, ErrEstimatorBudget) && !errors.Is(err, ErrRepairStall) {
+				t.Fatalf("untyped error: %v", err)
 			}
-			if len(res.Assignment) != in.NumVars {
-				t.Fatalf("%s: assignment length %d, want %d", solve.name, len(res.Assignment), in.NumVars)
+			return
+		}
+		if len(res.Assignment) != in.NumVars {
+			t.Fatalf("assignment length %d, want %d", len(res.Assignment), in.NumVars)
+		}
+		for v, x := range res.Assignment {
+			if x < 0 || x >= in.DomainSize(v) {
+				t.Fatalf("var %d out of domain: %d", v, x)
 			}
-			for v, x := range res.Assignment {
-				if x < 0 || x >= in.DomainSize(v) {
-					t.Fatalf("%s: var %d out of domain: %d", solve.name, v, x)
-				}
+		}
+		for e := 0; e < in.NumEvents; e++ {
+			if in.Bad(e, res.Assignment) {
+				t.Fatalf("event %d violated", e)
 			}
-			for e := 0; e < in.NumEvents; e++ {
-				if in.Bad(e, res.Assignment) {
-					t.Fatalf("%s: event %d violated", solve.name, e)
-				}
-			}
-			if res.Resamplings != 0 {
-				t.Fatalf("%s: deterministic path reported %d resamplings", solve.name, res.Resamplings)
-			}
-			// Determinism: a second run must reproduce the assignment.
-			again, err := solve.fn(in)
-			if err != nil {
-				t.Fatalf("%s: rerun failed: %v", solve.name, err)
-			}
-			if fmt.Sprint(again.Assignment) != fmt.Sprint(res.Assignment) {
-				t.Fatalf("%s: rerun diverged", solve.name)
-			}
+		}
+		if res.Resamplings != 0 {
+			t.Fatalf("deterministic path reported %d resamplings", res.Resamplings)
+		}
+		// Determinism: a second run must reproduce the assignment.
+		again, err := SolveDeterministic(in)
+		if err != nil {
+			t.Fatalf("rerun failed: %v", err)
+		}
+		if fmt.Sprint(again.Assignment) != fmt.Sprint(res.Assignment) {
+			t.Fatalf("rerun diverged")
 		}
 	})
 }

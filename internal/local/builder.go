@@ -75,8 +75,8 @@ type RunConfig struct {
 	// Sharding only chooses which worker sweeps which node: outputs,
 	// rounds, messages and fault reports are bit-identical to contiguous
 	// sharding for every valid partition (the slabs give every directed
-	// port a single writer regardless of grouping). The ball, goroutine
-	// and sequential engines ignore it.
+	// port a single writer regardless of grouping). The ball and
+	// sequential engines ignore it.
 	Partition Partition
 }
 
@@ -122,7 +122,7 @@ func (cfg RunConfig) resolveShards(g *graph.Graph, workers int) ([][]int32, erro
 
 // normalize resolves the configured worker count for an n-node run. This
 // is the single source of truth for the Workers contract, shared by every
-// engine (ball, scheduler, goroutine, sequential) so they cannot drift:
+// engine (ball, scheduler, sequential, frugal) so they cannot drift:
 //
 //   - negative clamps to sequential (one worker);
 //   - zero expands to runtime.GOMAXPROCS(0);

@@ -48,10 +48,10 @@ func TestNormalizeWorkers(t *testing.T) {
 // radius-T view.
 func gatherDecide(view *View) any { return view.G.N()*1_000_000 + view.G.M() }
 
-// TestCrashAgreementAcrossEngines runs the same crash plan through the three
-// message engines and checks they agree exactly: same outputs (including the
-// typed crash error in the crashed node's slot), same rounds, same message
-// count.
+// TestCrashAgreementAcrossEngines runs the same crash plan through the
+// sequential reference and the scheduler and checks they agree exactly:
+// same outputs (including the typed crash error in the crashed node's
+// slot), same rounds, same message count.
 func TestCrashAgreementAcrossEngines(t *testing.T) {
 	g := graph.Cycle(30)
 	cfg := RunConfig{Fault: &fault.Plan{CrashNode: 5, CrashRound: 2}}
@@ -67,9 +67,8 @@ func TestCrashAgreementAcrossEngines(t *testing.T) {
 		name string
 		run  func() ([]any, Stats, error)
 	}{
-		{"message", func() ([]any, Stats, error) { return RunMessageConfig(g, protocol(), nil, cfg) }},
-		{"goroutine", func() ([]any, Stats, error) { return RunGoroutineConfig(g, protocol(), nil, cfg) }},
 		{"sequential", func() ([]any, Stats, error) { return RunSequentialConfig(g, protocol(), nil, cfg) }},
+		{"message", func() ([]any, Stats, error) { return RunMessageConfig(g, protocol(), nil, cfg) }},
 	} {
 		outputs, stats, err := engine.run()
 		if err != nil {
@@ -128,7 +127,7 @@ func TestCrashAgreementAcrossEngines(t *testing.T) {
 }
 
 // TestAdviceFlipAgreementAcrossEngines runs the same seeded advice-flip plan
-// through all five engines on a view-fingerprint workload and checks every
+// through all four engines on a view-fingerprint workload and checks every
 // node's output is identical — corrupted advice must corrupt every engine
 // the same way.
 func TestAdviceFlipAgreementAcrossEngines(t *testing.T) {
@@ -146,7 +145,6 @@ func TestAdviceFlipAgreementAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func() ([]any, Stats, error){
-		"goroutine":  func() ([]any, Stats, error) { return RunGoroutineConfig(g, protocol(), advice, cfg) },
 		"sequential": func() ([]any, Stats, error) { return RunSequentialConfig(g, protocol(), advice, cfg) },
 		"frugal":     func() ([]any, Stats, error) { return RunFrugalConfig(g, protocol(), advice, cfg) },
 		"ball": func() ([]any, Stats, error) {
@@ -287,9 +285,6 @@ func TestTryVariantsRejectShortAdvice(t *testing.T) {
 	protocol := &GatherProtocol{Radius: 1, Decide: gatherDecide}
 	if _, _, err := RunMessageConfig(g, protocol, short, RunConfig{}); !errors.Is(err, ErrAdviceLength) {
 		t.Errorf("RunMessageConfig: err = %v, want ErrAdviceLength", err)
-	}
-	if _, _, err := RunGoroutine(g, protocol, short); !errors.Is(err, ErrAdviceLength) {
-		t.Errorf("RunGoroutine: err = %v, want ErrAdviceLength", err)
 	}
 	if _, _, err := RunSequential(g, protocol, short); !errors.Is(err, ErrAdviceLength) {
 		t.Errorf("RunSequential: err = %v, want ErrAdviceLength", err)

@@ -48,7 +48,7 @@ const DefaultFrugalRadius = 2
 
 // RunFrugal executes protocol on g with the given advice using the
 // bandwidth-frugal engine and the default skeleton radius. Outputs are
-// bit-identical to Run / RunGoroutine / RunSequential; Stats.Messages is
+// bit-identical to Run / RunSequential; Stats.Messages is
 // the skeleton transport total (typically far below the stock engines'),
 // and Stats.Rounds includes the 2ρ+1 pipelined forwarding overhead.
 func RunFrugal(g *graph.Graph, protocol Protocol, advice Advice) ([]any, Stats, error) {

@@ -12,10 +12,10 @@
 // a worker pool each round (see scheduler.go). LOCAL-model cost is rounds,
 // not messages, so replacing physical message passing with shared-memory
 // delivery is free — the scheduler is bit-identical in outputs, rounds, and
-// message counts to the operational engines. Those remain available:
-// RunGoroutine (one goroutine per node, per-edge channels, a round barrier)
-// and RunSequential (a single-threaded deterministic round loop), and the
-// equivalence property tests pin all three against each other.
+// message counts to RunSequential, a single-threaded deterministic round
+// loop that the equivalence property tests use as the reference oracle.
+// RunFrugal runs the same protocols over a low-bandwidth skeleton transport
+// with bit-identical outputs.
 //
 // The ball engine (RunBall) exploits the standard equivalence "a T-round
 // LOCAL algorithm is a function of the radius-T view": it hands every node

@@ -297,48 +297,3 @@ func TestStaggeredTermination(t *testing.T) {
 		t.Errorf("rounds = %d, want 4", stats.Rounds)
 	}
 }
-
-func TestSequentialEngineMatchesGoroutineEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	graphs := map[string]*graph.Graph{
-		"cycle11":  graph.Cycle(11),
-		"grid4x5":  graph.Grid2D(4, 5),
-		"star6":    graph.Star(6),
-		"isolated": graph.New(4),
-		"gnp":      graph.RandomGNP(15, 0.25, rng),
-	}
-	protocols := map[string]Protocol{
-		"maxID2":  &maxIDProtocol{radius: 2},
-		"maxID5":  &maxIDProtocol{radius: 5},
-		"stagger": earlyStopProtocol{},
-		"gather": &GatherProtocol{Radius: 2, Decide: func(view *View) any {
-			return view.G.N()*1000 + view.G.M()
-		}},
-	}
-	for gname, g := range graphs {
-		graph.AssignPermutedIDs(g, rng)
-		adv := make(Advice, g.N())
-		for v := range adv {
-			adv[v] = bitstr.New(rng.Intn(2))
-		}
-		for pname, p := range protocols {
-			concOut, concStats, err := RunGoroutine(g, p, adv)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", gname, pname, err)
-			}
-			seqOut, seqStats, err := RunSequential(g, p, adv)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", gname, pname, err)
-			}
-			for v := range concOut {
-				if concOut[v] != seqOut[v] {
-					t.Fatalf("%s/%s node %d: goroutine %v, sequential %v",
-						gname, pname, v, concOut[v], seqOut[v])
-				}
-			}
-			if concStats != seqStats {
-				t.Errorf("%s/%s: stats differ: %+v vs %+v", gname, pname, concStats, seqStats)
-			}
-		}
-	}
-}

@@ -72,8 +72,9 @@ func TestMetricsWorkerCountDeterminism(t *testing.T) {
 }
 
 // TestMetricsEngineAgreement pins that the deterministic counters agree
-// across the three message engines (modulo the Engine label): same rounds,
-// same active-node profile, same per-round message and byte counts.
+// between the scheduler and the sequential engine (modulo the Engine
+// label): same rounds, same active-node profile, same per-round message and
+// byte counts.
 func TestMetricsEngineAgreement(t *testing.T) {
 	g := graph.Torus2D(6, 6)
 	protocol := func() *GatherProtocol { return &GatherProtocol{Radius: 2, Decide: gatherDecide} }
@@ -85,10 +86,6 @@ func TestMetricsEngineAgreement(t *testing.T) {
 		},
 		"sequential": func(c *obs.Collector) error {
 			_, _, err := RunSequentialConfig(g, protocol(), nil, RunConfig{Metrics: c})
-			return err
-		},
-		"goroutine": func(c *obs.Collector) error {
-			_, _, err := RunGoroutineConfig(g, protocol(), nil, RunConfig{Metrics: c})
 			return err
 		},
 	}
@@ -114,8 +111,9 @@ func TestMetricsEngineAgreement(t *testing.T) {
 }
 
 // TestMetricsDisabledIdenticalOutputs is the other acceptance half: with
-// Metrics nil all four engines produce byte-identical outputs and stats to
-// a metrics-enabled run (the instrumentation observes, never perturbs).
+// Metrics nil the scheduler, sequential and ball engines produce
+// byte-identical outputs and stats to a metrics-enabled run (the
+// instrumentation observes, never perturbs).
 func TestMetricsDisabledIdenticalOutputs(t *testing.T) {
 	g := graph.Cycle(48)
 	protocol := func() *GatherProtocol { return &GatherProtocol{Radius: 3, Decide: gatherDecide} }
@@ -129,9 +127,6 @@ func TestMetricsDisabledIdenticalOutputs(t *testing.T) {
 		}},
 		{"sequential", func(cfg RunConfig) ([]any, Stats, error) {
 			return RunSequentialConfig(g, protocol(), nil, cfg)
-		}},
-		{"goroutine", func(cfg RunConfig) ([]any, Stats, error) {
-			return RunGoroutineConfig(g, protocol(), nil, cfg)
 		}},
 		{"ball", func(cfg RunConfig) ([]any, Stats, error) {
 			return TryRunBallConfig(g, nil, 3, gatherDecide, cfg)
@@ -240,7 +235,7 @@ func TestMetricsFaultEvents(t *testing.T) {
 		return
 	}
 	var wantFlipped int64 = -1
-	for _, engine := range []string{"scheduler", "sequential", "goroutine"} {
+	for _, engine := range []string{"scheduler", "sequential"} {
 		c := &obs.Collector{}
 		cfg := RunConfig{Fault: plan, Metrics: c}
 		var err error
@@ -249,8 +244,6 @@ func TestMetricsFaultEvents(t *testing.T) {
 			_, _, err = RunMessageConfig(g, &GatherProtocol{Radius: 2, Decide: gatherDecide}, advice, cfg)
 		case "sequential":
 			_, _, err = RunSequentialConfig(g, &GatherProtocol{Radius: 2, Decide: gatherDecide}, advice, cfg)
-		case "goroutine":
-			_, _, err = RunGoroutineConfig(g, &GatherProtocol{Radius: 2, Decide: gatherDecide}, advice, cfg)
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)

@@ -107,8 +107,8 @@ func TestRunBallWorkerCountEquivalence(t *testing.T) {
 	}
 }
 
-// TestMessageEngineAgreesWithParallelViewEngine checks that the goroutine
-// message engine still assembles exactly the views the parallel ball engine
+// TestMessageEngineAgreesWithParallelViewEngine checks that the message
+// engine still assembles exactly the views the parallel ball engine
 // hands out.
 func TestMessageEngineAgreesWithParallelViewEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -207,33 +207,37 @@ func TestRunBallLargeGraphDefaultParallel(t *testing.T) {
 }
 
 // messageProtocols is the protocol sweep of the scheduler-equivalence
-// property test: flooding with uniform termination, staggered termination,
-// and the view-gathering protocol (whose outputs are full view fingerprints).
+// property test: flooding with uniform termination at radius 3 and 5,
+// staggered termination, and the view-gathering protocol (whose outputs are
+// full view fingerprints).
 func messageProtocols() map[string]Protocol {
 	return map[string]Protocol{
 		"maxID3":  &maxIDProtocol{radius: 3},
+		"maxID5":  &maxIDProtocol{radius: 5},
 		"stagger": earlyStopProtocol{},
 		"gather":  &GatherProtocol{Radius: 2, Decide: viewFingerprint},
 	}
 }
 
-// TestSchedulerMatchesGoroutineEngine is the engine-equivalence property
+// TestSchedulerMatchesSequentialEngine is the engine-equivalence property
 // test of the sharded scheduler: for every graph family, seed, and protocol,
 // the scheduler with worker counts 1, 2, and 8, the default Run dispatch,
-// and the sequential engine all produce outputs, rounds, and message counts
-// identical to the goroutine engine.
-func TestSchedulerMatchesGoroutineEngine(t *testing.T) {
+// and the frugal engine all produce outputs (and, except frugal, rounds and
+// message counts) identical to the sequential reference engine.
+func TestSchedulerMatchesSequentialEngine(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
-		for gname, g := range propertyGraphs(t, seed) {
+		gs := propertyGraphs(t, seed)
+		gs["isolated"] = graph.New(4) // nodes with no ports at all
+		for gname, g := range gs {
 			rng := rand.New(rand.NewSource(seed * 31))
 			advice := make(Advice, g.N())
 			for v := range advice {
 				advice[v] = bitstr.New(rng.Intn(2))
 			}
 			for pname, p := range messageProtocols() {
-				refOut, refStats, err := RunGoroutine(g, p, advice)
+				refOut, refStats, err := RunSequential(g, p, advice)
 				if err != nil {
-					t.Fatalf("seed %d %s/%s: goroutine engine: %v", seed, gname, pname, err)
+					t.Fatalf("seed %d %s/%s: sequential engine: %v", seed, gname, pname, err)
 				}
 				check := func(engine string, out []any, stats Stats, err error) {
 					t.Helper()
@@ -241,12 +245,12 @@ func TestSchedulerMatchesGoroutineEngine(t *testing.T) {
 						t.Fatalf("seed %d %s/%s: %s: %v", seed, gname, pname, engine, err)
 					}
 					if stats != refStats {
-						t.Fatalf("seed %d %s/%s: %s stats %+v, goroutine %+v",
+						t.Fatalf("seed %d %s/%s: %s stats %+v, sequential %+v",
 							seed, gname, pname, engine, stats, refStats)
 					}
 					for v := range out {
 						if out[v] != refOut[v] {
-							t.Fatalf("seed %d %s/%s node %d: %s output %v, goroutine %v",
+							t.Fatalf("seed %d %s/%s node %d: %s output %v, sequential %v",
 								seed, gname, pname, v, engine, out[v], refOut[v])
 						}
 					}
@@ -257,14 +261,12 @@ func TestSchedulerMatchesGoroutineEngine(t *testing.T) {
 				}
 				defOut, defStats, err := Run(g, p, advice)
 				check("Run(default)", defOut, defStats, err)
-				seqOut, seqStats, err := RunSequential(g, p, advice)
-				check("sequential", seqOut, seqStats, err)
 				// The frugal engine must produce bit-identical outputs at
 				// every worker count. Its Stats count skeleton transport and
 				// forwarding overhead instead of protocol traffic, so they
 				// are pinned against the first frugal run (worker
 				// independence) and the known 2ρ+1 round overhead rather
-				// than against the goroutine engine.
+				// than against the sequential engine.
 				var frugalRef Stats
 				for i, w := range []int{-1, 1, 8} {
 					out, stats, err := RunFrugalConfig(g, p, advice, RunConfig{Workers: w})
@@ -280,7 +282,7 @@ func TestSchedulerMatchesGoroutineEngine(t *testing.T) {
 					}
 					for v := range out {
 						if out[v] != refOut[v] {
-							t.Fatalf("seed %d %s/%s node %d: %s output %v, goroutine %v",
+							t.Fatalf("seed %d %s/%s node %d: %s output %v, sequential %v",
 								seed, gname, pname, v, engine, out[v], refOut[v])
 						}
 					}

@@ -61,7 +61,7 @@ func newMachines(g *graph.Graph, protocol Protocol, advice Advice) []Machine {
 // execution stats. Small graphs run on a single worker (fan-out overhead
 // dominates there); large graphs use the process default worker count (see
 // SetDefaultWorkers). Outputs and Stats are identical for any worker count,
-// and identical to RunGoroutine and RunSequential.
+// and identical to RunSequential.
 func Run(g *graph.Graph, protocol Protocol, advice Advice) ([]any, Stats, error) {
 	workers := int(defaultWorkers.Load())
 	if g.N() < parallelThreshold && workers == 0 {

@@ -11,11 +11,10 @@ import (
 
 // RunSequential executes a message protocol with a single-threaded,
 // perfectly deterministic round loop — the same semantics as Run (the
-// sharded scheduler) and RunGoroutine, without concurrency or slab
-// indexing. It exists as an independently-written third implementation:
-// reproducible debugging of protocols and a triangulation point for the
-// engines-agree tests (three separate engines agreeing is much stronger
-// evidence than two).
+// sharded scheduler), without concurrency or slab indexing. It is the
+// reference oracle of the message engines: an independently written
+// implementation that the scheduler and frugal equivalence tests compare
+// against, and a reproducible engine for debugging protocols.
 func RunSequential(g *graph.Graph, protocol Protocol, advice Advice) ([]any, Stats, error) {
 	return RunSequentialConfig(g, protocol, advice, RunConfig{})
 }

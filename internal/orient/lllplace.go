@@ -19,13 +19,12 @@ import (
 // exactly the Lovász-Local-Lemma argument of Lemma 5.1. The shift system is
 // expressed once as an lll.Instance (variable i = shift of plan i; arity-1
 // "clamp" events for shifts pushed past the trail end, arity-2 conflict
-// events for interacting plan pairs) and solved three ways: constructively
-// randomized with Moser–Tardos (EncodeVarLLL), derandomized by conditional
-// expectations (EncodeVarDet), and derandomized ball-by-ball over the event
-// dependency graph's low-diameter decomposition (EncodeVarDecomposed). The
-// greedy placement in schema.go remains the deterministic engineering
-// default; the three LLL paths are the faithful-to-the-proof alternatives,
-// compared in tests and in the E3/E12 ablations.
+// events for interacting plan pairs) and solved two ways: constructively
+// randomized with Moser–Tardos (EncodeVarLLL) and derandomized by
+// conditional expectations (EncodeVarDet). The greedy placement in
+// schema.go remains the deterministic engineering default; the two LLL
+// paths are the faithful-to-the-proof alternatives, compared in tests and
+// in the E3/E12 ablations.
 
 // shiftPlan is one planned marked pair: a base trail position plus the
 // trail's canonical direction bit.
@@ -236,30 +235,6 @@ func (s Schema) EncodeVarDetObserved(g *graph.Graph, m *obs.Collector) (core.Var
 	res, err := lll.SolveDeterministicObserved(sys.inst, m)
 	if err != nil {
 		return nil, fmt.Errorf("orient: deterministic LLL placement: %w", err)
-	}
-	return sys.materialize(res.Assignment)
-}
-
-// EncodeVarDecomposed is EncodeVarDet running ball-by-ball over the shift
-// system's event dependency graph (lll.SolveDecomposed) — the
-// network-decomposition-guided derandomization. Also RNG-free.
-func (s Schema) EncodeVarDecomposed(g *graph.Graph) (core.VarAdvice, error) {
-	return s.EncodeVarDecomposedObserved(g, obs.Default())
-}
-
-// EncodeVarDecomposedObserved is EncodeVarDecomposed with an explicit
-// metrics collector.
-func (s Schema) EncodeVarDecomposedObserved(g *graph.Graph, m *obs.Collector) (core.VarAdvice, error) {
-	sys, err := s.buildShiftSystem(g)
-	if err != nil {
-		return nil, err
-	}
-	if sys == nil {
-		return core.VarAdvice{}, nil
-	}
-	res, err := lll.SolveDecomposedObserved(sys.inst, m)
-	if err != nil {
-		return nil, fmt.Errorf("orient: decomposed LLL placement: %w", err)
 	}
 	return sys.materialize(res.Assignment)
 }

@@ -203,7 +203,7 @@ func (s Schema) DecodeVar(g *graph.Graph, va core.VarAdvice, _ []*lcl.Solution) 
 // DecodeVarOn is DecodeVar running on a named engine (local.EngineNames):
 // the same per-node decide, dispatched through local.RunDecider, so the
 // engine-equivalence and seed-independence walls can pin the decoded
-// orientation bit-identical across all five engines and worker counts.
+// orientation bit-identical across all four engines and worker counts.
 func (s Schema) DecodeVarOn(engine string, g *graph.Graph, va core.VarAdvice, cfg local.RunConfig) (*lcl.Solution, local.Stats, error) {
 	if err := s.P.validate(); err != nil {
 		return nil, local.Stats{}, err

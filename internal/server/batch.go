@@ -168,13 +168,12 @@ func DecodeBatchResponse(b []byte) ([]BatchResult, error) {
 			continue
 		}
 		p := &frameReader{b: payload}
-		n := p.u32()
-		if p.err != nil || int(n)*4 != len(p.b)-p.off {
+		labels := readLabelRun(p)
+		if p.err != nil || p.off != len(p.b) {
 			return nil, fmt.Errorf("batch response: malformed labels at item %d", i)
 		}
-		labels := make([]int, n)
-		for v := range labels {
-			labels[v] = int(int32(p.u32()))
+		if labels == nil {
+			labels = []int{} // a zero-node answer (edge list "n 0") is ok, not missing
 		}
 		out = append(out, BatchResult{Labels: labels})
 	}
@@ -358,6 +357,14 @@ func (r *frameReader) u32() uint32 {
 	return binary.LittleEndian.Uint32(b)
 }
 
+func (r *frameReader) u64() uint64 {
+	b := r.take(8)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
 // rawEndpoint wraps a binary-response handler (batch decode, artifact
 // export) with the same serving policy as the JSON endpoints — shedding at
 // the in-flight bound, body limiting, the request deadline, panic
@@ -473,7 +480,7 @@ func (s *Server) handleBatch(r *http.Request) ([]byte, error) {
 		if ext {
 			return renderExtPayload(art, hit), ""
 		}
-		return renderLabels(art.sol.Node), ""
+		return appendLabelRun(make([]byte, 0, 4+4*len(art.sol.Node)), art.sol.Node), ""
 	}
 	var serverPayload []byte
 	var serverErr string
@@ -510,14 +517,6 @@ func (s *Server) handleBatch(r *http.Request) ([]byte, error) {
 	return resp, nil
 }
 
-func (r *frameReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
 // appendBatchItem writes one framed item into the response arena. errMsg is
 // the raw error payload: the UTF-8 message for plain batches, the binary
 // status+code+message form (renderExtError) for extended ones.
@@ -530,16 +529,6 @@ func appendBatchItem(resp, payload []byte, errMsg string) []byte {
 	resp = append(resp, 0)
 	resp = binary.LittleEndian.AppendUint32(resp, uint32(len(payload)))
 	return append(resp, payload...)
-}
-
-// renderLabels encodes a solution's node labels as the ok-payload.
-func renderLabels(labels []int) []byte {
-	out := make([]byte, 0, 4+4*len(labels))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(labels)))
-	for _, l := range labels {
-		out = binary.LittleEndian.AppendUint32(out, uint32(int32(l)))
-	}
-	return out
 }
 
 // appendLabelRun writes a u32-counted run of i32 labels.

@@ -22,7 +22,7 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 
 // doReq drives the server's handler directly (no network) and returns the
 // recorded response.
-func doReq(t *testing.T, s *Server, method, path, body string) *httptest.ResponseRecorder {
+func doReq(t testing.TB, s *Server, method, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	var r *http.Request
 	if body == "" {

@@ -13,7 +13,7 @@ import (
 )
 
 // doBin posts a binary body (the batch protocol) and returns the recorder.
-func doBin(t *testing.T, s *Server, path string, body []byte) *httptest.ResponseRecorder {
+func doBin(t testing.TB, s *Server, path string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	r := httptest.NewRequest("POST", path, bytes.NewReader(body))
 	r.Header.Set("Content-Type", "application/octet-stream")
@@ -250,6 +250,17 @@ func TestBatchMatchesIndividualDecodes(t *testing.T) {
 	}
 	if st.BatchItems != uint64(len(items)) {
 		t.Errorf("stats batch_items = %d, want %d", st.BatchItems, len(items))
+	}
+
+	// A zero-node graph answers like /v1/decode's "labels":[] — an empty,
+	// non-nil label slice, not a missing one.
+	frame, err = EncodeBatchRequest("mis", GraphSpec{Text: "n 0\n"}, true, []BatchItem{{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err = DecodeBatchResponse(doBin(t, s, "/v1/batch", frame).Body.Bytes())
+	if err != nil || len(results) != 1 || results[0].Err != "" || results[0].Labels == nil || len(results[0].Labels) != 0 {
+		t.Errorf("zero-node batch: %v %#v, want one empty non-nil label slice", err, results)
 	}
 }
 

@@ -47,13 +47,13 @@
 # structurally valid decompositions; the ≥1.0x locality speedup floor binds
 # only when the recording host has >= 4 CPUs (DESIGN.md decision 9).
 #
-# A "detlll" section records `locad detlll -json`: the three LLL resolution
+# A "detlll" section records `locad detlll -json`: the two LLL resolution
 # methods (seeded Moser–Tardos vs the deterministic conditional-expectations
-# and decomposition-guided solvers) compared on solver work and
-# seed-independence, plus the serving layer's warm cache hit rate under
-# rotating request seeds for the det-mode vs the seeded schema entries. The
-# gate requires zero resamplings and exactly one distinct advice output on
-# the det paths, and a det warm hit rate strictly above the seeded one.
+# solver) compared on solver work and seed-independence, plus the serving
+# layer's warm cache hit rate under rotating request seeds for the det-mode
+# vs the seeded schema entries. The gate requires zero resamplings and
+# exactly one distinct advice output on the det path, and a det warm hit
+# rate strictly above the seeded one.
 #
 # `make bench` runs the full sweep; `make bench-msg` restricts the regex to
 # the message-engine and LLL benchmarks for quick perf iteration.
